@@ -74,16 +74,33 @@ func TestFrameMetaRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSessionHdrRoundTrip pins the session header's annotated wire pair
+// bit for bit, edge words included.
+func TestSessionHdrRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	cases := [][2]uint64{{0, 0}, {1, 0}, {0, 1}, {math.MaxUint64, math.MaxUint64}, {1 << 63, 1<<63 - 1}}
+	for i := 0; i < 10000; i++ {
+		cases = append(cases, [2]uint64{rng.Uint64(), rng.Uint64()})
+	}
+	for _, c := range cases {
+		if seq, ack := unpackSessionHdr(packSessionHdr(c[0], c[1])); seq != c[0] || ack != c[1] {
+			t.Fatalf("session round trip: (%d,%d) -> (%d,%d)", c[0], c[1], seq, ack)
+		}
+	}
+}
+
 // TestPacketFrameRoundTrip streams random packets through the framer and
-// parser, interleaved with control frames, over one buffer — the same
-// mixed stream a connection carries.
+// parser, interleaved with control, ack and resume frames and each with
+// its own session header, over one buffer — the same mixed stream a
+// connection carries.
 func TestPacketFrameRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	var stream bytes.Buffer
 	type sent struct {
+		hdr     sessHdr
+		frame   byte
 		pkt     amnet.Packet
 		payload []byte
-		ctl     bool
 		kind    uint8
 		body    []byte
 	}
@@ -91,16 +108,23 @@ func TestPacketFrameRoundTrip(t *testing.T) {
 	var buf []byte
 	for i := 0; i < 500; i++ {
 		var err error
-		if rng.Intn(4) == 0 {
+		h := sessHdr{seq: rng.Uint64(), ack: rng.Uint64()}
+		switch rng.Intn(6) {
+		case 0:
 			kind := uint8(rng.Intn(256))
 			body := make([]byte, rng.Intn(64))
 			rng.Read(body)
-			buf, err = appendControlFrame(buf[:0], kind, body)
-			wantSeq = append(wantSeq, sent{ctl: true, kind: kind, body: body})
-		} else {
+			buf, err = appendControlFrame(buf[:0], h, kind, body)
+			wantSeq = append(wantSeq, sent{hdr: h, frame: frControl, kind: kind, body: body})
+		case 1:
+			fk := []byte{frAck, frResume}[rng.Intn(2)]
+			h.seq = 0
+			buf = appendHeader(buf[:0], fk, h, 0)
+			wantSeq = append(wantSeq, sent{hdr: h, frame: fk})
+		default:
 			p, payload := randomPacket(rng)
-			buf, err = appendPacketFrame(buf[:0], &p, payload)
-			wantSeq = append(wantSeq, sent{pkt: p, payload: payload})
+			buf, err = appendPacketFrame(buf[:0], h, &p, payload)
+			wantSeq = append(wantSeq, sent{hdr: h, frame: frPacket, pkt: p, payload: payload})
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -110,15 +134,21 @@ func TestPacketFrameRoundTrip(t *testing.T) {
 
 	var scratch []byte
 	for i, want := range wantSeq {
-		kind, body, s, err := readFrame(&stream, scratch)
+		kind, h, body, s, err := readFrame(&stream, scratch)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
 		scratch = s
-		if want.ctl {
-			if kind != frControl {
-				t.Fatalf("frame %d: kind %d, want control", i, kind)
+		if kind != want.frame || h != want.hdr {
+			t.Fatalf("frame %d: kind %d header %+v, want kind %d header %+v", i, kind, h, want.frame, want.hdr)
+		}
+		switch want.frame {
+		case frAck, frResume:
+			if len(body) != 0 {
+				t.Fatalf("frame %d: header-only frame carried %d body bytes", i, len(body))
 			}
+			continue
+		case frControl:
 			ck, rest, err := parseControlBody(body)
 			if err != nil {
 				t.Fatalf("frame %d: %v", i, err)
@@ -127,9 +157,6 @@ func TestPacketFrameRoundTrip(t *testing.T) {
 				t.Fatalf("frame %d: control (%d, %x) != (%d, %x)", i, ck, rest, want.kind, want.body)
 			}
 			continue
-		}
-		if kind != frPacket {
-			t.Fatalf("frame %d: kind %d, want packet", i, kind)
 		}
 		p, payload, err := parsePacketBody(body)
 		if err != nil {
@@ -148,32 +175,41 @@ func TestPacketFrameRoundTrip(t *testing.T) {
 }
 
 // TestReadFrameTruncation proves every prefix of a valid frame fails
-// cleanly: header short-reads surface the io error, body short-reads wrap
-// it as a mid-frame death, and no prefix ever parses as a frame.
+// cleanly: length-prefix short-reads surface the io error, later
+// short-reads (session header included) wrap it as a mid-frame death,
+// and no prefix ever parses as a frame.
 func TestReadFrameTruncation(t *testing.T) {
 	p := amnet.Packet{Handler: 7, Src: 1, Dst: 2, U0: 42, VT: 3.5, Seq: 9,
 		Data: []float64{1, 2, 3}}
-	whole, err := appendPacketFrame(nil, &p, []byte("payload"))
+	hdr := sessHdr{seq: 11, ack: 7}
+	whole, err := appendPacketFrame(nil, hdr, &p, []byte("payload"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for cut := 0; cut < len(whole); cut++ {
-		_, _, _, err := readFrame(bytes.NewReader(whole[:cut]), nil)
-		if err == nil {
-			t.Fatalf("truncation at %d/%d bytes parsed as a frame", cut, len(whole))
-		}
-		if cut > 4 && err != nil {
-			// Past the header the failure must be the mid-frame wrap, and
-			// it must preserve the io error underneath.
-			if !errorIsUnexpectedEOF(err) {
-				t.Fatalf("truncation at %d: error %v does not wrap an io short-read", cut, err)
+	ack := appendHeader(nil, frAck, sessHdr{ack: 5}, 0)
+	for _, frame := range [][]byte{whole, ack} {
+		for cut := 0; cut < len(frame); cut++ {
+			_, _, _, _, err := readFrame(bytes.NewReader(frame[:cut]), nil)
+			if err == nil {
+				t.Fatalf("truncation at %d/%d bytes parsed as a frame", cut, len(frame))
+			}
+			if cut > 4 && err != nil {
+				// Past the length prefix the failure must be the
+				// mid-frame wrap, and it must preserve the io error
+				// underneath.
+				if !errorIsUnexpectedEOF(err) {
+					t.Fatalf("truncation at %d: error %v does not wrap an io short-read", cut, err)
+				}
 			}
 		}
 	}
-	// The whole frame still parses after all that.
-	kind, body, _, err := readFrame(bytes.NewReader(whole), nil)
-	if err != nil || kind != frPacket {
-		t.Fatalf("whole frame: kind %d err %v", kind, err)
+	// The whole frames still parse after all that.
+	if kind, h, body, _, err := readFrame(bytes.NewReader(ack), nil); err != nil || kind != frAck || h.ack != 5 || len(body) != 0 {
+		t.Fatalf("whole ack frame: kind %d header %+v body %d err %v", kind, h, len(body), err)
+	}
+	kind, h, body, _, err := readFrame(bytes.NewReader(whole), nil)
+	if err != nil || kind != frPacket || h != hdr {
+		t.Fatalf("whole frame: kind %d header %+v err %v", kind, h, err)
 	}
 	got, payload, err := parsePacketBody(body)
 	if err != nil || !packetsEqual(got, p) || string(payload) != "payload" {
@@ -198,13 +234,14 @@ func unwrap(err error) error {
 	return u.Unwrap()
 }
 
-// TestReadFrameLengthBounds pins the corrupt-length-prefix guards: zero
-// and oversized lengths are rejected before any allocation happens.
+// TestReadFrameLengthBounds pins the corrupt-length-prefix guards: zero,
+// shorter-than-header and oversized lengths are rejected before any
+// allocation happens.
 func TestReadFrameLengthBounds(t *testing.T) {
-	for _, n := range []uint32{0, maxFrameBody + 1, math.MaxUint32} {
+	for _, n := range []uint32{0, 1, hdrLen - 1, maxFrameBody + 1, math.MaxUint32} {
 		var hdr [4]byte
 		binary.LittleEndian.PutUint32(hdr[:], n)
-		if _, _, _, err := readFrame(bytes.NewReader(hdr[:]), nil); err == nil {
+		if _, _, _, _, err := readFrame(bytes.NewReader(hdr[:]), nil); err == nil {
 			t.Fatalf("length %d accepted", n)
 		}
 	}
@@ -213,11 +250,11 @@ func TestReadFrameLengthBounds(t *testing.T) {
 // TestParsePacketBodyCorruption pins the section-length cross-checks.
 func TestParsePacketBodyCorruption(t *testing.T) {
 	p := amnet.Packet{Handler: 1, Src: 0, Dst: 1, Data: []float64{4, 5}}
-	whole, err := appendPacketFrame(nil, &p, []byte{0xAA, 0xBB})
+	whole, err := appendPacketFrame(nil, sessHdr{seq: 1}, &p, []byte{0xAA, 0xBB})
 	if err != nil {
 		t.Fatal(err)
 	}
-	body := whole[5:] // strip length prefix + kind byte
+	body := whole[4+hdrLen:] // strip length prefix + frame header
 
 	if _, _, err := parsePacketBody(body[:packetFixed-1]); err == nil {
 		t.Fatal("short fixed section accepted")
@@ -236,10 +273,10 @@ func TestParsePacketBodyCorruption(t *testing.T) {
 	}
 	// Oversized frame refused at append time.
 	big := amnet.Packet{Data: make([]float64, maxFrameBody/8+1)}
-	if _, err := appendPacketFrame(nil, &big, nil); err == nil {
+	if _, err := appendPacketFrame(nil, sessHdr{}, &big, nil); err == nil {
 		t.Fatal("oversized packet frame accepted")
 	}
-	if _, err := appendControlFrame(nil, 1, make([]byte, maxFrameBody)); err == nil {
+	if _, err := appendControlFrame(nil, sessHdr{}, 1, make([]byte, maxFrameBody)); err == nil {
 		t.Fatal("oversized control frame accepted")
 	}
 }
@@ -251,13 +288,13 @@ func TestReadFrameScratchReuse(t *testing.T) {
 	var stream bytes.Buffer
 	var buf []byte
 	for i := 0; i < 3; i++ {
-		buf, _ = appendControlFrame(buf[:0], uint8(i), bytes.Repeat([]byte{byte(i)}, 32))
+		buf, _ = appendControlFrame(buf[:0], sessHdr{seq: uint64(i + 1)}, uint8(i), bytes.Repeat([]byte{byte(i)}, 32))
 		stream.Write(buf)
 	}
 	var scratch []byte
 	var lastCap int
 	for i := 0; i < 3; i++ {
-		_, body, s, err := readFrame(&stream, scratch)
+		_, _, body, s, err := readFrame(&stream, scratch)
 		if err != nil {
 			t.Fatal(err)
 		}

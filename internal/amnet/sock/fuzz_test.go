@@ -12,9 +12,10 @@ import (
 // FuzzFrameRoundTrip drives the frame codec from both ends.  The input
 // bytes are interpreted twice:
 //
-//  1. as packet material: a packet is built from the words, framed, read
-//     back through readFrame, and compared bit for bit (the encoder and
-//     decoder must be exact inverses for every input), and
+//  1. as packet material: a packet and a session header are built from
+//     the words, framed, read back through readFrame, and compared bit
+//     for bit (the encoder and decoder must be exact inverses for every
+//     input), and
 //  2. as a raw wire stream fed straight to readFrame/parsePacketBody/
 //     parseControlBody, which must never panic, never allocate
 //     unboundedly, and either parse or error — hostile bytes are what a
@@ -22,12 +23,20 @@ import (
 func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
-	seed, _ := appendControlFrame(nil, 3, []byte("hello"))
+	seed, _ := appendControlFrame(nil, sessHdr{seq: 4, ack: 2}, 3, []byte("hello"))
 	f.Add(seed)
 	p := amnet.Packet{Handler: 9, Src: 3, Dst: 1, U0: 1, U1: 2, U2: 3, U3: 4,
 		VT: 2.5, Seq: 77, Data: []float64{1, 2}}
-	seed2, _ := appendPacketFrame(nil, &p, []byte{0xCA, 0xFE})
+	seed2, _ := appendPacketFrame(nil, sessHdr{seq: 5, ack: 3}, &p, []byte{0xCA, 0xFE})
 	f.Add(seed2)
+	// A connection's opening as the reader sees it: the resume frame,
+	// then a sequenced packet and a standalone ack.
+	seed3 := appendHeader(nil, frResume, sessHdr{ack: 41}, 0)
+	seed3, _ = appendPacketFrame(seed3, sessHdr{seq: 42, ack: 9}, &p, nil)
+	seed3 = appendHeader(seed3, frAck, sessHdr{ack: 10}, 0)
+	f.Add(seed3)
+	// A header-only frame cut inside its session words.
+	f.Add(appendHeader(nil, frAck, sessHdr{ack: math.MaxUint64}, 0)[:12])
 
 	f.Fuzz(func(t *testing.T, in []byte) {
 		// Direction 1: bytes -> packet -> frame -> packet.
@@ -55,13 +64,14 @@ func FuzzFrameRoundTrip(f *testing.F) {
 				pkt.Data[i] = math.Float64frombits(word(10 + i))
 			}
 		}
-		frame, err := appendPacketFrame(nil, &pkt, payload)
+		hdr := sessHdr{seq: word(10) ^ word(0), ack: word(11) ^ word(1)}
+		frame, err := appendPacketFrame(nil, hdr, &pkt, payload)
 		if err != nil {
 			t.Fatalf("framing a bounded packet failed: %v", err)
 		}
-		kind, body, _, err := readFrame(bytes.NewReader(frame), nil)
-		if err != nil || kind != frPacket {
-			t.Fatalf("reading own frame: kind %d err %v", kind, err)
+		kind, gotHdr, body, _, err := readFrame(bytes.NewReader(frame), nil)
+		if err != nil || kind != frPacket || gotHdr != hdr {
+			t.Fatalf("reading own frame: kind %d header %+v (want %+v) err %v", kind, gotHdr, hdr, err)
 		}
 		got, gotPayload, err := parsePacketBody(body)
 		if err != nil {
@@ -79,7 +89,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		r := bytes.NewReader(in)
 		var scratch []byte
 		for {
-			kind, body, s, err := readFrame(r, scratch)
+			kind, _, body, s, err := readFrame(r, scratch)
 			if err != nil {
 				break
 			}

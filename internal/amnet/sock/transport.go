@@ -53,7 +53,7 @@ var errClosed = closedError{}
 const handshakeTimeout = 60 * time.Second
 
 // Transport carries amnet packets between the processes of one machine
-// over a socket mesh: one connection per process pair, framed by
+// over a socket mesh: one session per process pair (link.go), framed by
 // frame.go, with node-to-process routing answered by a names.Registry.
 // It implements amnet.Transport.
 type Transport struct {
@@ -394,7 +394,8 @@ func (t *Transport) Resident(id amnet.NodeID) bool {
 	return t.reg.Owner(id) == t.self
 }
 
-// TrySend offers a stamped packet to the link owning p.Dst.
+// TrySend offers a stamped packet to the link owning p.Dst, refusing
+// while that link's session holds replayCap unacknowledged frames.
 func (t *Transport) TrySend(p amnet.Packet, urgent bool) bool {
 	l := t.links[t.reg.Owner(p.Dst)]
 	if l == nil {
@@ -494,9 +495,9 @@ func (t *Transport) Close() error {
 }
 
 // Bounce force-closes the connection to peer, exercising the redial
-// path: in-flight frames are lost (a fault-plan event for the kernel's
-// reliable layer) and the dialing side re-establishes the link.  Test
-// hook; safe from any goroutine.
+// path: the dialing side re-establishes the link and the session
+// resumes, replaying the frames the old connection lost.  Test hook;
+// safe from any goroutine.
 func (t *Transport) Bounce(peer int) {
 	if peer >= 0 && peer < len(t.links) && t.links[peer] != nil {
 		t.links[peer].bounce()
@@ -519,9 +520,9 @@ func acceptTimeout(lis net.Listener, d time.Duration) (net.Conn, error) {
 	return conn, nil
 }
 
-// writeCtl writes one control frame synchronously.
+// writeCtl writes one unsequenced control frame synchronously.
 func writeCtl(conn net.Conn, kind uint8, body []byte) error {
-	buf, err := appendControlFrame(nil, kind, body)
+	buf, err := appendControlFrame(nil, sessHdr{}, kind, body)
 	if err != nil {
 		return err
 	}
@@ -532,7 +533,7 @@ func writeCtl(conn net.Conn, kind uint8, body []byte) error {
 // expectCtl reads one frame and requires a control frame of the given
 // kind, returning its body.
 func expectCtl(conn net.Conn, want uint8) (uint8, []byte, error) {
-	kind, body, _, err := readFrame(conn, nil)
+	kind, _, body, _, err := readFrame(conn, nil)
 	if err != nil {
 		return 0, nil, err
 	}

@@ -160,21 +160,34 @@ func (testCodec) EncodePayload(p *amnet.Packet) ([]byte, error) {
 
 func (testCodec) DecodePayload(b []byte) (any, error) { return string(b), nil }
 
-const hEcho amnet.HandlerID = 7
+const (
+	hEcho amnet.HandlerID = 7
+	// hLog records every packet's (Dst, U0) in arrival order, never
+	// dropping one: the exactly-once and ordering tests read it.
+	hLog amnet.HandlerID = 8
+)
 
 // wireNode is one process's kernel stand-in: a network attached to the
 // transport plus a poller goroutine driving the endpoints this process
-// hosts, delivering handled packets to got.
+// hosts, delivering hEcho packets to got and logging hLog packets.
 type wireNode struct {
-	nw   *amnet.Network
-	got  chan amnet.Packet
-	stop chan struct{}
-	wg   sync.WaitGroup
+	nw      *amnet.Network
+	got     chan amnet.Packet
+	stop    chan struct{}
+	release chan struct{} // closed to start polling the held nodes
+	wg      sync.WaitGroup
+
+	mu  sync.Mutex
+	log map[amnet.NodeID][]uint64
 }
 
-func startWireNode(t *testing.T, tr *Transport, reg *names.Registry, nodes int) *wireNode {
+// startWireNode attaches a network to tr and polls the endpoints this
+// process hosts, except the held ones: those wait, inboxes filling,
+// until n.releaseHeld.
+func startWireNode(t *testing.T, tr *Transport, reg *names.Registry, nodes int, held ...amnet.NodeID) *wireNode {
 	t.Helper()
-	n := &wireNode{got: make(chan amnet.Packet, 64), stop: make(chan struct{})}
+	n := &wireNode{got: make(chan amnet.Packet, 64), stop: make(chan struct{}),
+		release: make(chan struct{}), log: make(map[amnet.NodeID][]uint64)}
 	tr.SetPayloadCodec(testCodec{})
 	nw, err := amnet.NewNetwork(amnet.Config{Nodes: nodes, Remote: tr})
 	if err != nil {
@@ -187,15 +200,27 @@ func startWireNode(t *testing.T, tr *Transport, reg *names.Registry, nodes int) 
 		default:
 		}
 	})
+	nw.Register(hLog, n.record)
 	if err := nw.StartTransport(); err != nil {
 		t.Fatalf("StartTransport: %v", err)
 	}
 	lo, hi := reg.SpanOf(tr.Self())
 	for id := lo; id < hi; id++ {
 		ep := nw.Endpoint(id)
+		hold := false
+		for _, h := range held {
+			hold = hold || h == id
+		}
 		n.wg.Add(1)
 		go func() {
 			defer n.wg.Done()
+			if hold {
+				select {
+				case <-n.release:
+				case <-n.stop:
+					return
+				}
+			}
 			for ep.RecvBlock(n.stop, 0) {
 			}
 		}()
@@ -206,6 +231,25 @@ func startWireNode(t *testing.T, tr *Transport, reg *names.Registry, nodes int) 
 		n.wg.Wait()
 	})
 	return n
+}
+
+// record is the hLog handler.
+//
+//halvet:allowblock test recorder: the lock is shared only with the test goroutine's brief copies in logged
+func (n *wireNode) record(ep *amnet.Endpoint, p amnet.Packet) {
+	n.mu.Lock()
+	n.log[p.Dst] = append(n.log[p.Dst], p.U0)
+	n.mu.Unlock()
+}
+
+// releaseHeld starts polling the nodes startWireNode held back.
+func (n *wireNode) releaseHeld() { close(n.release) }
+
+// logged returns a copy of the hLog values node id has handled so far.
+func (n *wireNode) logged(id amnet.NodeID) []uint64 {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return append([]uint64(nil), n.log[id]...)
 }
 
 func recvPacket(t *testing.T, n *wireNode) amnet.Packet {
@@ -349,9 +393,9 @@ func TestBounceRedialsAndRecovers(t *testing.T) {
 
 	// Kill the pair's connection mid-mesh several times; each time the
 	// worker (the dialing side) must re-establish it and traffic must
-	// flow again.  TrySend may drop while the link is down — that is the
-	// contract (reliable delivery is the kernel layer's job) — so send
-	// until one arrives.
+	// flow again.  Sending until one marker arrives keeps this test about
+	// healing; TestSessionExactlyOnceAcrossBounces pins that nothing is
+	// lost or duplicated meanwhile.
 	for round := 0; round < 3; round++ {
 		before := worker.TransportStats().Redials
 		leader.Bounce(1)

@@ -71,13 +71,14 @@ type PayloadCodec interface {
 }
 
 // TransportStats counts wire traffic.  All counters are cumulative since
-// Start.
+// Start.  A transport that replays frames after a reconnect counts each
+// frame once in WireSent, CtlSent and WireBytesOut.
 type TransportStats struct {
 	WireSent     uint64 // packet frames written
 	WireRecvd    uint64 // packet frames delivered to local endpoints
 	WireBytesOut uint64 // frame bytes written, length prefixes included
 	WireBytesIn  uint64 // frame bytes read
-	WireDropped  uint64 // outbound packets dropped while a link was down
+	WireDropped  uint64 // outbound packets offered after the transport closed
 	Redials      uint64 // connections re-established after a failure
 	CtlSent      uint64 // control messages written
 	CtlRecvd     uint64 // control messages delivered

@@ -104,10 +104,13 @@ type Config struct {
 	Faults *amnet.FaultPlan
 
 	// RetryBase is the first retransmit timeout of an unacknowledged
-	// control packet (fault injection only).  Default 500µs.
+	// control packet (fault injection only).  Default 500µs, or 20ms on
+	// a Dist machine with Faults set: a Dist machine without Faults
+	// runs no reliable layer (its socket links are exactly-once
+	// sessions), so neither default applies to it.
 	RetryBase time.Duration
 	// RetryMax caps the exponential backoff between retransmits.
-	// Default 10ms.
+	// Default 10ms, or 250ms on a Dist machine with Faults set.
 	RetryMax time.Duration
 	// RetryBudget is how many retransmissions a control packet gets
 	// before it is abandoned and dead-lettered.  Default 24.
@@ -239,7 +242,8 @@ func (c *Config) applyDefaults() error {
 	if c.RetryBase <= 0 {
 		c.RetryBase = 500 * time.Microsecond
 		if c.Dist != nil {
-			// A wire ack pays two socket hops plus both kernels' poll
+			// Only consulted when Faults arms the reliable layer.  A
+			// wire ack pays two socket hops plus both kernels' poll
 			// boundaries; the in-memory default sits below that RTT and
 			// would retransmit almost every packet.  Worse, a budget of
 			// patient-for-230ms can exhaust on a DELIVERED packet whose

@@ -12,9 +12,10 @@ import (
 
 // The cross-process control plane of a machine spanning several OS
 // processes (Config.Dist).  Kernel packets travel the transport's packet
-// lane and stay on the node kernels' reliable-delivery path; this file is
-// the out-of-band lane: distributed termination detection, result
-// collection, and the shutdown handshake.
+// lane, an exactly-once FIFO session per process pair, just as they
+// travel the in-memory rings; this file is the out-of-band lane:
+// distributed termination detection, result collection, and the shutdown
+// handshake.
 //
 // Termination uses Mattern's four-counter method.  Each process keeps two
 // cumulative counters per program — units created and units consumed

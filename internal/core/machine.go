@@ -138,10 +138,10 @@ func NewMachine(cfg Config) (*Machine, error) {
 	if cfg.Dist != nil {
 		m.local = m.nodes[cfg.Dist.Lo:cfg.Dist.Hi]
 		m.dist = newDistState(m, cfg.Dist)
-		// A dropped connection loses in-flight frames; the reliable layer
-		// (sequencing, acks, retries) makes that just another fault event
-		// even with no FaultPlan injecting any.
-		m.relOn = true
+		// The transport's links are exactly-once FIFO sessions across
+		// redials, so the wire needs no kernel-level recovery: like an
+		// in-process machine, a Dist one arms the reliable layer only
+		// when cfg.Faults injects losses.
 		cfg.Dist.Transport.SetPayloadCodec(&payloadCodec{m: m})
 		cfg.Dist.Transport.OnControl(m.dist.onCtl)
 	}
