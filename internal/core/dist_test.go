@@ -4,7 +4,9 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -214,7 +216,7 @@ func TestDistMigrateAcross(t *testing.T) {
 	v, err := runOn(rig, t, func(ctx *Context) {
 		a := ctx.NewOn(0, typ, nodes-1) // lives on 0, will hop to the far span
 		j := ctx.NewJoin(1, func(ctx *Context, vs []any) { ctx.Exit(vs[0]) })
-		ctx.Send(a, 1)       // migrate
+		ctx.Send(a, 1)          // migrate
 		ctx.Request(a, 2, j, 0) // chases the actor through the repair path
 	})
 	if err != nil {
@@ -258,6 +260,72 @@ func TestDistGroupBroadcast(t *testing.T) {
 	want := nodes * (nodes - 1) / 2
 	if v != want {
 		t.Fatalf("sum of member nodes = %v, want %d", v, want)
+	}
+	rig.shutdown(t)
+}
+
+// describeArgs renders each argument's concrete type and exact value,
+// float bits and a group's member addresses included.
+func describeArgs(args []any) string {
+	var sb strings.Builder
+	for _, a := range args {
+		switch v := a.(type) {
+		case float64:
+			fmt.Fprintf(&sb, "%T=%#x\n", v, math.Float64bits(v))
+		case Group:
+			fmt.Fprintf(&sb, "%T=%#v members=", v, v)
+			for i := 0; i < v.N; i++ {
+				fmt.Fprintf(&sb, "%v ", v.Member(i))
+			}
+			sb.WriteByte('\n')
+		default:
+			fmt.Fprintf(&sb, "%T=%#v\n", v, v)
+		}
+	}
+	return sb.String()
+}
+
+// TestDistArgsRoundTrip sends one argument of every built-in value tag,
+// plus a gob-registered user struct, to an actor in another process,
+// which describes what it received.  Each argument must arrive as the
+// same concrete type and value, and the group's member addresses must
+// match the sender's (its alias base crossed).
+func TestDistArgsRoundTrip(t *testing.T) {
+	const nodes = 4
+	rig := startDistRig(t, nodes, 2, nil, func(m *Machine) {
+		m.RegisterType("describer", func(args []any) Behavior {
+			return BehaviorFunc(func(ctx *Context, msg *Message) {
+				ctx.Reply(msg, describeArgs(msg.Args))
+				ctx.Die()
+			})
+		})
+	})
+	typ := rig.leader().TypeByName("describer")
+	var want string
+	v, err := runOn(rig, t, func(ctx *Context) {
+		a := ctx.NewOn(nodes-1, typ) // far span: crosses the wire
+		g := ctx.NewGroup(typ, 3, 1)
+		if g.slot0 == 0 {
+			panic("group alias base is 0; the test would not see it dropped")
+		}
+		args := []any{
+			nil, -7, int64(-1) << 40, math.Float64frombits(0x7ff8000000000001), true, "héllo",
+			a, ReplyTo{Node: amnet.NoNode, JC: 9, Slot: -2}, g, Selector(-3), TypeID(5),
+			[]float64{math.Copysign(0, -1), 1.5}, []float64(nil),
+			wireUser{Name: "u", N: 42, G: g},
+		}
+		want = describeArgs(args)
+		j := ctx.NewJoin(1, func(ctx *Context, vs []any) { ctx.Exit(vs[0]) })
+		ctx.Request(a, 1, j, 0, args...)
+		for i := 0; i < g.N; i++ {
+			ctx.Send(g.Member(i), 1) // members reply nowhere and die
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v != want {
+		t.Fatalf("far side saw\n%v\nwant\n%s", v, want)
 	}
 	rig.shutdown(t)
 }

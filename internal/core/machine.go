@@ -385,15 +385,15 @@ func (m *Machine) RetryExhausted() bool { return m.relExhausted.Load() }
 // node returns node id's kernel; exported lookups go through Context.
 func (m *Machine) node(id amnet.NodeID) *node { return m.nodes[id] }
 
-// registerProg appends prog to the id->program table.  Caller holds
-// launchMu, so prog.id == len(table)+1 exactly.
-func (m *Machine) registerProg(prog *Program) {
+// registerProg appends progs to the id->program table in one copy.
+// Caller holds launchMu, so each prog.id == its table index+1 exactly.
+func (m *Machine) registerProg(progs ...*Program) {
 	old := m.progTab.Load()
 	var tab []*Program
 	if old != nil {
 		tab = append(tab, *old...)
 	}
-	tab = append(tab, prog)
+	tab = append(tab, progs...)
 	m.progTab.Store(&tab)
 }
 
