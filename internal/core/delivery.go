@@ -278,11 +278,12 @@ func (n *node) applyCacheUpdate(addr Addr, node amnet.NodeID, rseq uint64) {
 }
 
 // firReq is a forwarding information request parked on a descriptor or
-// traveling a forwarding chain.  path lists every node that has held
-// messages waiting on this request, in visit order.
+// traveling a forwarding chain.  hops lists every node that has held
+// messages waiting on this request, in visit order; hops[0] issued it.
+// Requests are pooled records (newPath/freePath in wire.go).
 type firReq struct {
 	addr Addr
-	path []amnet.NodeID
+	hops []amnet.NodeID
 }
 
 // maybeSendFIR launches an FIR along the forwarding chain unless one is
@@ -296,11 +297,11 @@ func (n *node) maybeSendFIR(ld *names.LD, addr Addr) {
 	ld.FIRSentAt = time.Now().UnixNano()
 	n.stats.FIRSent++
 	n.trace(EvFIRSent, addr, ld.RNode)
-	n.sendFIR(ld.RNode, firReq{addr: addr, path: append(n.newPath(), n.id)})
+	n.sendFIR(ld.RNode, n.newPath(addr))
 }
 
 // handleFIR processes a forwarding information request at this node.
-func (n *node) handleFIR(req firReq) {
+func (n *node) handleFIR(req *firReq) {
 	addr := req.addr
 	var seq uint64
 	if addr.Birth == n.id {
@@ -313,7 +314,6 @@ func (n *node) handleFIR(req firReq) {
 		// No trace of the actor: it died (or never existed).  Tell the
 		// whole chain so held messages become dead letters.
 		n.answerFIR(req, amnet.NoNode, 0)
-		n.freePath(req.path)
 		return
 	}
 	switch ld.State {
@@ -322,16 +322,14 @@ func (n *node) handleFIR(req firReq) {
 		n.stats.FIRServed++
 		n.trace(EvFIRServed, addr, amnet.NoNode)
 		n.answerFIR(req, n.id, seq)
-		n.freePath(req.path)
 	case names.LDRemote:
 		if ld.RNode == amnet.NoNode {
 			n.answerFIR(req, amnet.NoNode, 0)
-			n.freePath(req.path)
 			return
 		}
 		// Relay one hop further along the migration history.
 		n.stats.FIRRelayed++
-		req.path = append(req.path, n.id)
+		req.hops = append(req.hops, n.id)
 		n.sendFIR(ld.RNode, req)
 	case names.LDInTransit, names.LDUnresolved, names.LDAliasPending:
 		// We don't know the answer yet either; park the request, it is
@@ -339,19 +337,29 @@ func (n *node) handleFIR(req firReq) {
 		ld.Held = append(ld.Held, req)
 	default: // LDDead, LDFree: the chain's held messages are dead letters
 		n.answerFIR(req, amnet.NoNode, 0)
-		n.freePath(req.path)
 	}
 }
 
-// answerFIR sends the located (or dead) address to every chain node.  The
-// request's path is still the caller's to free.
-func (n *node) answerFIR(req firReq, node amnet.NodeID, seq uint64) {
-	for _, p := range req.path {
-		if p == n.id {
+// answerFIR sends the located (or dead) address to every chain node and
+// consumes req: the record rides home to its originator, hops[0], with
+// that node's answer, which goes last so no other answer reads a record
+// already handed off.
+func (n *node) answerFIR(req *firReq, node amnet.NodeID, seq uint64) {
+	for i := len(req.hops) - 1; i >= 0; i-- {
+		p := req.hops[i]
+		switch {
+		case p == n.id:
 			n.applyCacheUpdate(req.addr, node, seq)
-			continue
+			if i == 0 {
+				n.freePath(req)
+			}
+		case i == 0:
+			pkt := locPacket(hFIRFound, p, req.addr, node, seq)
+			pkt.Payload = req
+			n.sendCtlNow(pkt)
+		default:
+			n.sendLoc(hFIRFound, p, req.addr, node, seq)
 		}
-		n.sendLoc(hFIRFound, p, req.addr, node, seq)
 	}
 }
 
@@ -379,18 +387,16 @@ func (n *node) releaseHeld(ld *names.LD, addr Addr) {
 				v.routed = true
 				n.netSendMsg(ld.RNode, v)
 			}
-		case firReq:
+		case *firReq:
 			switch {
 			case ld.State == names.LDLocal:
 				n.stats.FIRServed++
 				n.answerFIR(v, n.id, addrSeqOnNode(n, addr))
-				n.freePath(v.path)
 			case ld.RNode == amnet.NoNode:
 				n.answerFIR(v, amnet.NoNode, 0)
-				n.freePath(v.path)
 			default:
 				n.stats.FIRRelayed++
-				v.path = append(v.path, n.id)
+				v.hops = append(v.hops, n.id)
 				n.sendFIR(ld.RNode, v)
 			}
 		}

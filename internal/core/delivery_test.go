@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/gob"
 	"sync/atomic"
 	"testing"
 )
@@ -172,87 +173,128 @@ func TestMigrationMessagesFollow(t *testing.T) {
 	}
 }
 
-// TestFIRChainRepair builds a real forwarding chain 0 -> 1 -> 2 -> 3 and
-// then has a node that cached the original location send: the old node
+// TestFIRChainRepair builds a real forwarding chain 0 -> 1 -> ... -> L
+// and then has a node that cached a stale location send: the stale node
 // must hold the message, chase the chain with an FIR, and release the
 // message directly to the final home.
 //
 // Cast: wanderer W (starts on node 0); controller C (node 0) walks W
 // across the machine with migrate+echo round trips (each echo confirms
 // arrival, because it is held during transit and only answered from the
-// new home); driver D (node 4) caches W@node0 up front and sends again
-// only after the walk finishes.
+// new home); driver D (node L+1) caches W@node1 after the first hop and
+// sends again only after the walk finishes.  The cached node is not W's
+// birthplace, which every migration updates, so the FIR walks the whole
+// chain: L-1 hops.  The dist case spreads the chain over three
+// processes, so the FIR and its answers cross the wire.
 func TestFIRChainRepair(t *testing.T) {
-	m := testMachine(t, Config{Nodes: 5})
+	for _, tc := range []struct {
+		name         string
+		chain, procs int
+	}{{"hops-3", 3, 1}, {"hops-10", 10, 1}, {"hops-10-dist", 10, 3}} {
+		t.Run(tc.name, func(t *testing.T) { testFIRChainRepair(t, tc.chain, tc.procs) })
+	}
+}
+
+// chainWanderer answers where it is and migrates on request; a struct so
+// its state can migrate across processes.
+type chainWanderer struct{}
+
+func (chainWanderer) Receive(ctx *Context, msg *Message) {
+	switch msg.Sel {
+	case selEcho, selWork:
+		ctx.Reply(msg, ctx.Node())
+	case selPing:
+		ctx.Migrate(msg.Int(0))
+	}
+}
+
+func init() { gob.Register(chainWanderer{}) }
+
+func testFIRChainRepair(t *testing.T, chain, procs int) {
 	p := &probe{}
-	wanderer := m.RegisterType("wanderer", func(args []any) Behavior {
-		return &funcBehavior{f: func(ctx *Context, msg *Message) {
-			switch msg.Sel {
-			case selEcho:
-				ctx.Reply(msg, ctx.Node())
-			case selPing:
-				ctx.Migrate(msg.Int(0))
-			case selWork:
-				p.add(ctx.Node())
-			}
-		}}
-	})
-	controller := m.RegisterType("controller", func(args []any) Behavior {
-		var w, d Addr
-		step := 0
-		var hop func(ctx *Context)
-		return &funcBehavior{f: func(ctx *Context, msg *Message) {
-			if msg.Sel != selInit {
-				return
-			}
-			w, d = msg.Addr(0), msg.Addr(1)
-			hop = func(ctx *Context) {
-				step++
-				if step > 3 {
-					ctx.Send(d, selStop)
-					return
+	var wanderer, controller, driver TypeID
+	register := func(m *Machine) {
+		wanderer = m.RegisterType("wanderer", func(args []any) Behavior { return chainWanderer{} })
+		controller = m.RegisterType("controller", func(args []any) Behavior {
+			var w, d Addr
+			step := 0
+			var hop func(ctx *Context)
+			return &funcBehavior{f: func(ctx *Context, msg *Message) {
+				switch msg.Sel {
+				case selInit:
+					w, d = msg.Addr(0), msg.Addr(1)
+					hop = func(ctx *Context) {
+						step++
+						if step > chain {
+							ctx.Send(d, selStop)
+							return
+						}
+						ctx.Send(w, selPing, step)
+						j := ctx.NewJoin(1, func(ctx *Context, _ []any) {
+							if step == 1 { // let D cache W@node1, then walk on
+								ctx.Send(d, selInit, w, ctx.Self())
+								return
+							}
+							hop(ctx)
+						})
+						ctx.Request(w, selEcho, j, 0)
+					}
+					hop(ctx)
+				case selValue:
+					hop(ctx)
 				}
-				ctx.Send(w, selPing, step)
-				j := ctx.NewJoin(1, func(ctx *Context, _ []any) { hop(ctx) })
-				ctx.Request(w, selEcho, j, 0)
-			}
-			hop(ctx)
-		}}
-	})
-	driver := m.RegisterType("driver", func(args []any) Behavior {
-		var w, c Addr
-		return &funcBehavior{f: func(ctx *Context, msg *Message) {
-			switch msg.Sel {
-			case selInit:
-				w, c = msg.Addr(0), msg.Addr(1)
-				j := ctx.NewJoin(1, func(ctx *Context, _ []any) {
-					ctx.Send(c, selInit, w, ctx.Self())
-				})
-				ctx.Request(w, selEcho, j, 0)
-			case selStop:
-				ctx.Send(w, selWork)
-			}
-		}}
-	})
-	run(t, m, func(ctx *Context) {
+			}}
+		})
+		driver = m.RegisterType("driver", func(args []any) Behavior {
+			var w, c Addr
+			return &funcBehavior{f: func(ctx *Context, msg *Message) {
+				switch msg.Sel {
+				case selInit:
+					w, c = msg.Addr(0), msg.Addr(1)
+					ctx.Request(w, selEcho, ctx.NewJoin(1, func(ctx *Context, _ []any) { ctx.Send(c, selValue) }), 0)
+				case selStop:
+					ctx.Request(w, selWork, ctx.NewJoin(1, func(_ *Context, vs []any) { p.add(vs[0]) }), 0)
+				}
+			}}
+		})
+	}
+	root := func(ctx *Context) {
 		w := ctx.NewOn(0, wanderer)
 		c := ctx.NewOn(0, controller)
-		d := ctx.NewOn(4, driver)
-		ctx.Send(d, selInit, w, c)
-	})
-	vals := p.snapshot()
-	if len(vals) != 1 || vals[0] != 3 {
-		t.Fatalf("late message deliveries %v, want [3]", vals)
+		d := ctx.NewOn(chain+1, driver)
+		ctx.Send(c, selInit, w, d)
 	}
-	s := m.Stats()
-	if s.Total.FIRSent == 0 {
+	var s NodeStats
+	if procs == 1 {
+		m := testMachine(t, Config{Nodes: chain + 2})
+		register(m)
+		run(t, m, root)
+		s = m.Stats().Total
+	} else {
+		rig := startDistRig(t, chain+2, procs, nil, register)
+		if _, err := runOn(rig, t, root); err != nil {
+			t.Fatal(err)
+		}
+		rig.shutdown(t)
+		for _, m := range rig.machines {
+			s.add(m.Stats().Total)
+		}
+	}
+	vals := p.snapshot()
+	if len(vals) != 1 || vals[0] != chain {
+		t.Fatalf("late message deliveries %v, want [%d]", vals, chain)
+	}
+	if s.FIRSent == 0 {
 		t.Error("no FIR issued despite stale cache")
 	}
-	if s.Total.FIRServed == 0 {
+	if s.FIRServed == 0 {
 		t.Error("no FIR served")
 	}
-	if s.Total.Migrations != 3 {
-		t.Errorf("Migrations=%d want 3", s.Total.Migrations)
+	if s.FIRRelayed < uint64(chain-2) {
+		t.Errorf("FIRRelayed=%d, want at least %d: the FIR did not walk the chain", s.FIRRelayed, chain-2)
+	}
+	if s.Migrations != uint64(chain) {
+		t.Errorf("Migrations=%d want %d", s.Migrations, chain)
 	}
 }
 

@@ -393,19 +393,14 @@ func TestDistExitNow(t *testing.T) {
 }
 
 // TestDistChaosBounce runs the spawn-everywhere workload while killing
-// every wire link mid-run: the reliable layer (sequencing, dedup,
-// retries) must absorb the lost frames and still converge to the right
-// answer.
+// every wire link mid-run.  The machine has no Faults, so no kernel
+// reliable layer runs: each socket link is an exactly-once session that
+// redials and replays the frames a bounce lost, and the run must still
+// converge to the right answer.
 func TestDistChaosBounce(t *testing.T) {
 	const nodes = 8
 	rig := startDistRig(t, nodes, 3, func(cfg *Config) {
 		cfg.StallTimeout = 30 * time.Second
-		// The chaos keeps links down a large fraction of the time; the
-		// default retry budget (tuned for transient FaultPlan drops) would
-		// legitimately exhaust and dead-letter, so give the reliable layer
-		// room to outlast the bouncing.
-		cfg.RetryBudget = 1 << 20
-		cfg.RetryMax = 5 * time.Millisecond
 	}, registerDistTypes)
 	typ := rig.leader().TypeByName("dist-counter")
 

@@ -99,13 +99,18 @@ func registerKernelHandlers(m *Machine) {
 	})
 
 	reg(hFIR, func(ep *amnet.Endpoint, p amnet.Packet) {
-		n := at(ep)
-		n.handleFIR(n.decodeFIR(p))
+		req := p.Payload.(*firReq)
+		req.addr, _, _ = decodeLoc(p)
+		at(ep).handleFIR(req)
 	})
 
 	reg(hFIRFound, func(ep *amnet.Endpoint, p amnet.Packet) {
+		n := at(ep)
 		addr, node, seq := decodeLoc(p)
-		at(ep).applyCacheUpdate(addr, node, seq)
+		n.applyCacheUpdate(addr, node, seq)
+		if req, ok := p.Payload.(*firReq); ok { // our own FIR record, back home
+			n.freePath(req)
+		}
 	})
 
 	reg(hMigrate, func(ep *amnet.Endpoint, p amnet.Packet) {

@@ -160,10 +160,9 @@ func (n *node) handleMigrate(src amnet.NodeID, bundle *migBundle, vt float64) {
 		switch v := h.(type) {
 		case *Message:
 			n.enqueueLocal(a, v)
-		case firReq:
+		case *firReq:
 			n.stats.FIRServed++
 			n.answerFIR(v, n.id, seq)
-			n.freePath(v.path)
 		}
 	}
 	n.stats.MigratedIn++

@@ -94,19 +94,19 @@ type node struct {
 	// streaming is off.
 	sink TraceSink
 
-	// Control-plane arenas (wire.go): message, spawn-record, and FIR-path
-	// freelists, disabled under fault injection.
+	// Control-plane arenas (wire.go): message, spawn-record, and FIR
+	// freelists.
 	msgFree   []*Message
 	spawnFree []*spawnRecord
-	pathFree  [][]amnet.NodeID
+	pathFree  []*firReq
 
 	stealOut     bool // a steal request is outstanding
 	stealBackoff time.Duration
 	nextSteal    time.Time // backoff gate for the next steal attempt
 	stealSent    time.Time // when the outstanding request left (fault mode)
 
-	// rel is the reliable-channel state (reliable.go); consulted only
-	// when the machine runs with fault injection.
+	// rel is the reliable-channel state (reliable.go); empty unless the
+	// machine runs with fault injection.
 	rel relState
 
 	treeBuf  []amnet.NodeID
@@ -167,7 +167,7 @@ func (n *node) run() {
 			n.publishStats()
 		}
 		progressed := n.ep.PollAll() > 0
-		if n.m.relOn && len(n.rel.pending) > 0 {
+		if len(n.rel.pending) > 0 {
 			n.pumpRetries()
 		}
 
@@ -226,18 +226,16 @@ func (n *node) idle() {
 		// An outbound transfer needs re-pumping; don't sleep long.
 		timeout = 20 * time.Microsecond
 	}
-	if n.m.relOn {
-		if len(n.rel.pending) > 0 {
-			// Unacknowledged control packets: wake in time to retry.
-			if timeout == 0 || n.m.cfg.RetryBase < timeout {
-				timeout = n.m.cfg.RetryBase
-			}
+	if len(n.rel.pending) > 0 {
+		// Unacknowledged control packets: wake in time to retry.
+		if timeout == 0 || n.m.cfg.RetryBase < timeout {
+			timeout = n.m.cfg.RetryBase
 		}
-		if n.ep.FaultBacklog() > 0 {
-			// Delayed packets re-inject only on a poll; don't park long.
-			if timeout == 0 || 20*time.Microsecond < timeout {
-				timeout = 20 * time.Microsecond
-			}
+	}
+	if n.ep.FaultBacklog() > 0 {
+		// Delayed packets re-inject only on a poll; don't park long.
+		if timeout == 0 || 20*time.Microsecond < timeout {
+			timeout = 20 * time.Microsecond
 		}
 	}
 	polling := n.m.cfg.LoadBalance && n.m.live.sum() > 0 && n.spawnq.Empty()

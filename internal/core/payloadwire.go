@@ -143,11 +143,10 @@ func (c *payloadCodec) EncodePayload(p *amnet.Packet) ([]byte, error) {
 		e.values(v.args)
 		e.f64(v.vt)
 		e.uvarint(progID(v.prog))
-	case firReq:
+	case *firReq: // the address rides the packet words
 		e.b = append(e.b, wtFIR)
-		e.addr(v.addr)
-		e.uvarint(uint64(len(v.path)))
-		for _, hop := range v.path {
+		e.uvarint(uint64(len(v.hops)))
+		for _, hop := range v.hops {
 			e.varint(int64(hop))
 		}
 	case *migBundle:
@@ -201,7 +200,7 @@ func (c *payloadCodec) DecodePayload(b []byte) (any, error) {
 	case wtSpawn:
 		v = &spawnRecord{alias: d.addr(), typ: TypeID(d.int32()), args: d.values(), vt: d.f64(), prog: d.prog()}
 	case wtFIR:
-		v = firReq{addr: d.addr(), path: d.nodes()}
+		v = &firReq{hops: d.nodes()}
 	case wtMig:
 		v = &migBundle{
 			addr: d.addr(), alias: d.addr(), behavior: d.behavior(),

@@ -97,7 +97,7 @@ func codecPayloads(m *Machine, seq uint64, node int32, i int64, fbits uint64, s 
 	out := []any{
 		msg(i&4 != 0),
 		&spawnRecord{alias: addr, typ: TypeID(node), args: vals, vt: math.Float64frombits(^fbits), prog: prog},
-		firReq{addr: addr, path: []amnet.NodeID{amnet.NoNode, amnet.NodeID(node), 0, math.MaxInt32}},
+		&firReq{hops: []amnet.NodeID{amnet.NoNode, amnet.NodeID(node), 0, math.MaxInt32}},
 		&migBundle{
 			addr: addr, alias: Addr{Birth: amnet.NoNode, Hint: 1, Seq: ^seq},
 			behavior: &wireBehavior{State: []float64{math.Float64frombits(fbits)}, Peer: addr},

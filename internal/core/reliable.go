@@ -31,7 +31,8 @@ package core
 // and the retry map are touched only by the owner (handlers run on the
 // receiving node's goroutine, sends on the sender's), so the layer adds
 // no locks.  With Faults unset none of this state is consulted beyond
-// one branch per send and one per receive.
+// one branch per send, one per receive, and the node loop's look at an
+// always-empty retry table.
 
 import (
 	"time"
@@ -236,13 +237,11 @@ func (n *node) escalate(e *relEntry) {
 		n.nextSteal = time.Now().Add(n.stealBackoff)
 	case hFIR:
 		// The chain is unreachable; declare the messages held HERE dead.
-		// (Chain nodes behind us time out on their own FIRs.)
-		if req, ok := e.pkt.Payload.(firReq); ok {
-			n.abandonFIR(req.addr)
-		} else { // word-encoded FIR: the address rides in U0/U1
-			addr, _, _ := decodeLoc(e.pkt)
-			n.abandonFIR(addr)
-		}
+		// (Chain nodes behind us time out on their own FIRs.)  The
+		// address comes from the packet words: the payload record may
+		// already be recycled by the receiver.
+		addr, _, _ := decodeLoc(e.pkt)
+		n.abandonFIR(addr)
 	}
 	n.retireUnit(e.unit)
 	for _, u := range e.extra {
@@ -282,9 +281,8 @@ func (n *node) abandonFIR(addr Addr) {
 		switch v := h.(type) {
 		case *Message:
 			n.dropMsg(v)
-		case firReq:
+		case *firReq:
 			n.answerFIR(v, amnet.NoNode, 0)
-			n.freePath(v.path)
 		}
 	}
 }

@@ -9,8 +9,8 @@ import (
 // Packet word-encoding for the kernel's small control payloads.
 //
 // CMAM messages carry a handler plus four words; the kernel's most
-// frequent control packets — cache updates, alias bindings, FIR hops, and
-// scalar replies — fit that budget exactly, so boxing them through
+// frequent control packets — cache updates, alias bindings, FIR answers,
+// and scalar replies — fit that budget exactly, so boxing them through
 // Packet.Payload (one heap allocation plus an interface dispatch per
 // packet) is pure overhead on the hot path the paper prices in Tables
 // 2–3.  This file is the single place the encodings live: every encoder
@@ -21,14 +21,12 @@ import (
 //
 //	location triple (hCacheUpdate, hFIRFound, hMigrateAck, hAliasBind):
 //	  U0 = addr.Seq   U1 = Birth<<32|Hint   U2 = node   U3 = seq
-//	FIR (hFIR, when the path fits; else boxed firReq):
-//	  U0 = addr.Seq   U1 = Birth<<32|Hint
-//	  U2 = hops[0..3] (16 bits each)   U3 = hops[4..6] | count<<48
+//	FIR (hFIR): the location triple's U0/U1 carry the chain address;
+//	  the hop list rides Payload as a pooled *firReq record
 //	reply (hReply; scalar values only, else boxed replyEnvelope):
 //	  U0 = jc   U1 = slot | tag<<32   U2 = value bits   U3 = program id
 //
-// Node ids round-trip through uint32 so NoNode (-1) survives; FIR hop
-// slots are 16-bit, wide enough for any partition this simulator runs.
+// Node ids round-trip through uint32 so NoNode (-1) survives.
 
 // packNodes packs two node ids into one word (a in the high half).
 //
@@ -131,98 +129,34 @@ func decodeReplyValue(tag, bits uint64) any {
 	return nil
 }
 
-// --- FIR encoding ------------------------------------------------------
-
-// firMaxHops is the longest forwarding path that word-encodes; longer
-// chains (or node ids past 16 bits) fall back to a boxed firReq.
-const firMaxHops = 7
-
-// encodeFIRPacket word-encodes an FIR if its path fits.
-//
-//halvet:wire fir encode
-func encodeFIRPacket(dst amnet.NodeID, addr Addr, path []amnet.NodeID) (amnet.Packet, bool) {
-	if len(path) > firMaxHops {
-		return amnet.Packet{}, false
-	}
-	var u2, u3 uint64
-	for i, h := range path {
-		if h < 0 || h >= 1<<16 {
-			return amnet.Packet{}, false
-		}
-		if i < 4 {
-			u2 |= uint64(uint16(h)) << (16 * i)
-		} else {
-			u3 |= uint64(uint16(h)) << (16 * (i - 4))
-		}
-	}
-	u3 |= uint64(len(path)) << 48
-	return amnet.Packet{
-		Handler: hFIR,
-		Dst:     dst,
-		U0:      addr.Seq,
-		U1:      packNodes(addr.Birth, addr.Hint),
-		U2:      u2,
-		U3:      u3,
-	}, true
-}
-
-// decodeFIRWords is the pure inverse of encodeFIRPacket: it unpacks the
-// word form into path (appending the decoded hops) and returns the
-// reconstructed request.
-//
-//halvet:wire fir decode
-func decodeFIRWords(p amnet.Packet, path []amnet.NodeID) firReq {
-	addr, _, _ := decodeLoc(p)
-	cnt := int(p.U3 >> 48)
-	for i := 0; i < cnt; i++ {
-		if i < 4 {
-			path = append(path, amnet.NodeID(uint16(p.U2>>(16*i))))
-		} else {
-			path = append(path, amnet.NodeID(uint16(p.U3>>(16*(i-4)))))
-		}
-	}
-	return firReq{addr: addr, path: path}
-}
-
-// decodeFIR reconstructs a firReq from either wire form.  A word-encoded
-// path is copied into a pooled slice owned by this node; a boxed path
-// arrives with the packet and this node owns it from here on.  Either
-// way the caller must consume the request exactly once (relay, answer, or
-// park) and free-or-transfer its path.
-func (n *node) decodeFIR(p amnet.Packet) firReq {
-	if req, ok := p.Payload.(firReq); ok {
-		return req
-	}
-	return decodeFIRWords(p, n.newPath())
-}
-
-// sendFIR transmits one FIR hop, consuming req: a word-encoded path is
-// copied into the packet and freed here; a boxed path transfers to the
-// packet (and on to the receiver).
-func (n *node) sendFIR(dst amnet.NodeID, req firReq) {
-	if p, ok := encodeFIRPacket(dst, req.addr, req.path); ok {
-		n.sendCtlNow(p)
-		n.freePath(req.path)
-		return
-	}
-	n.sendCtlNow(amnet.Packet{Handler: hFIR, Dst: dst, Payload: req})
+// sendFIR transmits one FIR hop, consuming req: the address rides the
+// packet words and the record itself rides Payload — by reference inside
+// a process, as its hop list (the payload codec's wtFIR body) across
+// processes.
+func (n *node) sendFIR(dst amnet.NodeID, req *firReq) {
+	p := locPacket(hFIR, dst, req.addr, amnet.NoNode, 0)
+	p.Payload = req
+	n.sendCtlNow(p)
 }
 
 // --- per-node control-plane arenas --------------------------------------
 //
 // The node.msgFree freelist pattern, extended to the two other
-// per-control-packet allocations: spawn records and FIR path slices.
+// per-control-packet allocations: spawn records and FIR records.
 // Recycling is OWNERSHIP-BASED: whichever node consumes the object frees
 // it into its own pool (objects may be allocated on one node and freed on
 // another — a pool entry is just memory, not node state, and the handoff
-// through the network channel orders the accesses).
+// through the network channel orders the accesses).  An FIR record rides
+// home to its originator with the answer (answerFIR), so the pool that
+// issues FIRs is the one that gets them back.
 //
-// Fault-mode exemption: with Config.Faults set, the reliable-delivery
-// layer retains sent packets (and their payloads) in the retry table
-// until acknowledged, so a consumed record may still be resent.  All
-// three pools therefore disable themselves when relOn — alloc falls back
-// to plain make/new and free is a no-op — rather than making every
-// consumer reason about retry lifetimes.
+// The pools stay on under Config.Faults, although the reliable layer
+// keeps every sent packet (payload pointer included) in its retry table
+// until acknowledged: a retransmit is either the only copy of a record
+// nobody has consumed yet, or a duplicate that the handler wrapper
+// (handlers.go) drops on its sequence number before any handler reads
+// it.  The retry path itself never dereferences a payload — escalate
+// reads the FIR address from the packet words.
 
 const (
 	spawnPoolCap = 1024
@@ -231,45 +165,41 @@ const (
 
 // newSpawn returns a spawn record from the node-local pool.
 func (n *node) newSpawn() *spawnRecord {
-	if !n.m.relOn {
-		if k := len(n.spawnFree); k > 0 {
-			rec := n.spawnFree[k-1]
-			n.spawnFree = n.spawnFree[:k-1]
-			return rec
-		}
+	if k := len(n.spawnFree); k > 0 {
+		rec := n.spawnFree[k-1]
+		n.spawnFree = n.spawnFree[:k-1]
+		return rec
 	}
 	return &spawnRecord{}
 }
 
 // freeSpawn recycles a consumed spawn record.
 func (n *node) freeSpawn(rec *spawnRecord) {
-	if n.m.relOn {
-		return
-	}
 	*rec = spawnRecord{}
 	if len(n.spawnFree) < spawnPoolCap {
 		n.spawnFree = append(n.spawnFree, rec)
 	}
 }
 
-// newPath returns an empty FIR path slice from the node-local pool.
-func (n *node) newPath() []amnet.NodeID {
-	if !n.m.relOn {
-		if k := len(n.pathFree); k > 0 {
-			p := n.pathFree[k-1]
-			n.pathFree = n.pathFree[:k-1]
-			return p
-		}
+// newPath returns an FIR record for addr, issued by this node, from the
+// node-local pool.
+func (n *node) newPath(addr Addr) *firReq {
+	var req *firReq
+	if k := len(n.pathFree); k > 0 {
+		req = n.pathFree[k-1]
+		n.pathFree = n.pathFree[:k-1]
+	} else {
+		req = &firReq{hops: make([]amnet.NodeID, 0, 8)}
 	}
-	return make([]amnet.NodeID, 0, firMaxHops+1)
+	req.addr = addr
+	req.hops = append(req.hops, n.id)
+	return req
 }
 
-// freePath recycles a consumed FIR path.
-func (n *node) freePath(p []amnet.NodeID) {
-	if n.m.relOn || cap(p) == 0 {
-		return
-	}
+// freePath recycles a consumed FIR record.
+func (n *node) freePath(req *firReq) {
 	if len(n.pathFree) < pathPoolCap {
-		n.pathFree = append(n.pathFree, p[:0])
+		*req = firReq{hops: req.hops[:0]}
+		n.pathFree = append(n.pathFree, req)
 	}
 }

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 
 	"hal/internal/amnet"
@@ -52,35 +54,36 @@ func FuzzReplyValueRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzFIRRoundTrip checks that any word-encodable forwarding path comes
-// back from the packet form hop-for-hop: the FIR encoding packs up to
-// seven 16-bit hops plus a count into two words, which is exactly the
-// kind of shift arithmetic an off-by-one quietly truncates.
+// FuzzFIRRoundTrip checks that an FIR of any chain length and any node
+// ids crosses a process boundary whole.  It goes the way a socket link
+// carries it: the frame codec copies the packet words sendFIR builds
+// bit-exactly, the payload codec carries the hop list, and the receiver
+// rebinds the address from the words as the hFIR handler does.
+// hopBytes are read as little-endian int32 node ids.
 func FuzzFIRRoundTrip(f *testing.F) {
 	f.Add(uint64(17), int32(1), int32(2), []byte{})
-	f.Add(uint64(1)<<40, int32(0), int32(3), []byte{0x03, 0x00, 0xff, 0xff})
-	f.Add(uint64(0), int32(-1), int32(-1), []byte{1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6, 0, 7, 0})
+	f.Add(uint64(1)<<40, int32(0), int32(3), []byte{0xff, 0xff, 0xff, 0xff, 0, 0, 1, 0})
+	f.Add(uint64(0), int32(-1), int32(-1), bytes.Repeat([]byte{0xff, 0xff, 0xff, 0x7f}, 10))
+	c := &payloadCodec{m: codecMachine(f)}
 	f.Fuzz(func(t *testing.T, seq uint64, birth, hint int32, hopBytes []byte) {
-		var path []amnet.NodeID
-		for i := 0; i+1 < len(hopBytes) && len(path) < firMaxHops; i += 2 {
-			path = append(path, amnet.NodeID(binary.LittleEndian.Uint16(hopBytes[i:])))
+		req := &firReq{addr: Addr{Birth: amnet.NodeID(birth), Hint: amnet.NodeID(hint), Seq: seq}}
+		for i := 0; i+4 <= len(hopBytes); i += 4 {
+			req.hops = append(req.hops, amnet.NodeID(int32(binary.LittleEndian.Uint32(hopBytes[i:]))))
 		}
-		addr := Addr{Birth: amnet.NodeID(birth), Hint: amnet.NodeID(hint), Seq: seq}
-		pkt, ok := encodeFIRPacket(3, addr, path)
-		if !ok {
-			t.Fatalf("encodeFIRPacket rejected a %d-hop path of 16-bit ids", len(path))
+		p := locPacket(hFIR, 3, req.addr, amnet.NoNode, 0)
+		p.Payload = req
+		b, err := c.EncodePayload(&p)
+		if err != nil {
+			t.Fatalf("encode FIR: %v", err)
 		}
-		req := decodeFIRWords(pkt, nil)
-		if req.addr != addr {
-			t.Fatalf("addr round-trip: got %v, want %v", req.addr, addr)
+		v, err := c.DecodePayload(b)
+		if err != nil {
+			t.Fatalf("decode FIR: %v", err)
 		}
-		if len(req.path) != len(path) {
-			t.Fatalf("path length: got %d, want %d", len(req.path), len(path))
-		}
-		for i := range path {
-			if req.path[i] != path[i] {
-				t.Fatalf("hop %d: got %d, want %d", i, req.path[i], path[i])
-			}
+		got := v.(*firReq)
+		got.addr, _, _ = decodeLoc(p)
+		if got.addr != req.addr || !slices.Equal(got.hops, req.hops) {
+			t.Fatalf("round trip: got %+v, want %+v", *got, *req)
 		}
 	})
 }
