@@ -13,11 +13,13 @@ import (
 // sendFIR, injectBatch), and the final owner frees it exactly once.
 //
 // The analysis is an abstract interpretation over each function body
-// tracking local variables bound to pool allocations through a
-// three-state lattice (live / freed / transferred).  Branches fork the
-// state and merge conservatively (a variable freed on only one path is
-// forgotten, not flagged), loops are analyzed for one iteration, and any
-// escape — into a struct, closure, channel, or return — ends tracking.
+// tracking local variables bound to pool allocations, and parameters the
+// function's own summary says it frees, through a three-state lattice
+// (live / freed / transferred).  Branches fork the state and merge
+// conservatively (a variable freed on only one path is forgotten, not
+// flagged; a branch that returns does not merge), loops are analyzed for
+// one iteration, and any escape — into a struct, closure, channel, or
+// return — ends tracking.
 //
 // Function boundaries are crossed through summaries (summary.go): every
 // function's effect on its pooled parameters (frees, transfers to the
@@ -135,9 +137,15 @@ func runPoolOwner(pass *Pass) error {
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			var body *ast.BlockStmt
+			env := make(poEnv)
 			switch x := n.(type) {
 			case *ast.FuncDecl:
 				body = x.Body
+				if fn, ok := pass.TypesInfo.Defs[x.Name].(*types.Func); ok && body != nil {
+					for obj, kind := range sums.ownedParams(fn, x) {
+						env[obj] = &poGroup{kind: kind, state: poLive}
+					}
+				}
 			case *ast.FuncLit:
 				body = x.Body
 			default:
@@ -147,7 +155,6 @@ func runPoolOwner(pass *Pass) error {
 				return true
 			}
 			w := &poWalker{pass: pass, tokens: map[types.Object]bool{}, sums: sums}
-			env := make(poEnv)
 			w.walkStmts(body.List, env)
 			// Deferred frees run at function exit, after everything above.
 			for _, d := range w.deferred {
@@ -217,8 +224,16 @@ func (w *poWalker) walkStmt(st ast.Stmt, env poEnv) {
 		if x.Else != nil {
 			w.walkStmt(x.Else, elseEnv)
 		}
-		merged := mergeEnv(thenEnv, elseEnv)
-		replaceEnv(env, merged)
+		// A branch that returns never reaches the code after the if, so
+		// the other branch's state flows on alone.
+		switch thenRet, elseRet := returns(x.Body), x.Else != nil && returns(x.Else); {
+		case thenRet && !elseRet:
+			replaceEnv(env, elseEnv)
+		case elseRet && !thenRet:
+			replaceEnv(env, thenEnv)
+		default:
+			replaceEnv(env, mergeEnv(thenEnv, elseEnv))
+		}
 	case *ast.ForStmt:
 		if x.Init != nil {
 			w.walkStmt(x.Init, env)
@@ -359,8 +374,13 @@ func (w *poWalker) walkAssign(x *ast.AssignStmt, env poEnv) {
 	}
 	for _, rhs := range x.Rhs {
 		w.checkExpr(rhs, env)
-		// Any other reference makes the value reachable from the left side.
+		// Any other reference makes the value reachable from the left side,
+		// except a read of a pointer-free field (addr := req.addr), which
+		// copies a value out and leaves the record where it was.
 		ast.Inspect(rhs, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok && w.scalarField(sel) {
+				return false
+			}
 			if id, ok := n.(*ast.Ident); ok {
 				if obj := w.pass.TypesInfo.Uses[id]; obj != nil && env[obj] != nil && !selfBases[obj] {
 					w.untrackObj(obj, env)
@@ -379,6 +399,46 @@ func (w *poWalker) walkAssign(x *ast.AssignStmt, env poEnv) {
 			w.checkExpr(lhs, env) // writing through a freed base is a use
 		}
 	}
+}
+
+// returns reports whether st ends in a return statement.
+func returns(st ast.Stmt) bool {
+	switch x := st.(type) {
+	case *ast.ReturnStmt:
+		return true
+	case *ast.BlockStmt:
+		return len(x.List) > 0 && returns(x.List[len(x.List)-1])
+	case *ast.IfStmt:
+		return x.Else != nil && returns(x.Body) && returns(x.Else)
+	}
+	return false
+}
+
+// scalarField reports whether sel reads a struct field whose type holds
+// no pointers, so the read cannot alias the record it is read from.
+func (w *poWalker) scalarField(sel *ast.SelectorExpr) bool {
+	s, ok := w.pass.TypesInfo.Selections[sel]
+	return ok && s.Kind() == types.FieldVal && pointerFree(s.Type())
+}
+
+// pointerFree reports whether values of t hold no pointers.  Strings
+// count as pointer-free: their bytes are immutable, so no pool reuses
+// them.
+func pointerFree(t types.Type) bool {
+	switch u := t.Underlying().(type) {
+	case *types.Basic:
+		return u.Kind() != types.UnsafePointer
+	case *types.Array:
+		return pointerFree(u.Elem())
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			if !pointerFree(u.Field(i).Type()) {
+				return false
+			}
+		}
+		return true
+	}
+	return false
 }
 
 // baseIdentObj resolves the root identifier object of a selector, index,

@@ -85,8 +85,8 @@ func flatParams(info *types.Info, fd *ast.FuncDecl) []types.Object {
 // that parameter is a pooled value.
 type PoolParamEffect struct {
 	// Frees names the pool kind the function returns the parameter to
-	// ("spawn record", "FIR path", ...); empty if the parameter is not
-	// freed on every analyzed path we classify.
+	// ("spawn record", "FIR path", ...) on some path, directly or through
+	// a helper; empty if no path frees it.
 	Frees string `json:",omitempty"`
 	// Transfers reports that ownership moves into the network (the
 	// parameter rides a Packet or a transfer function).
@@ -368,6 +368,30 @@ func (s *poSummarizer) compute(fn *types.Func, fd *ast.FuncDecl) PoolSummary {
 		return true
 	})
 	return sum
+}
+
+// ownedParams returns the parameters fn consumes — frees on some path,
+// whether or not another path sends the value on — keyed to their pool
+// kind.  Callers hand such a parameter over at the call, so fn owns it
+// from entry, and the walker tracks it like a fresh allocation: a
+// handler that passes its request to a consuming helper and then frees it
+// too is a double free.
+func (s *poSummarizer) ownedParams(fn *types.Func, fd *ast.FuncDecl) map[types.Object]string {
+	sum, ok := s.summaryFor(fn)
+	if !ok {
+		return nil
+	}
+	var owned map[types.Object]string
+	for i, obj := range flatParams(s.graph.pass.TypesInfo, fd) {
+		if obj == nil || i >= len(sum.Params) || sum.Params[i].Frees == "" {
+			continue
+		}
+		if owned == nil {
+			owned = map[types.Object]string{}
+		}
+		owned[obj] = sum.Params[i].Frees
+	}
+	return owned
 }
 
 // exportable returns the summaries worth serializing: only functions with

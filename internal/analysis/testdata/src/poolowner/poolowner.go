@@ -152,3 +152,46 @@ func helperEscape() float64 {
 	stash(p)
 	return p.vt
 }
+
+// answerChain mirrors the kernel's answerFIR: walking the chain back, it
+// frees the record when the last hop is this node and otherwise sends it
+// home on the packet.  Either way the record is consumed.
+func answerChain(p *path, ep *amnet.Endpoint, hops []amnet.NodeID, self amnet.NodeID) {
+	for i := len(hops) - 1; i >= 0; i-- {
+		switch {
+		case hops[i] == self:
+			if i == 0 {
+				freePath(p)
+			}
+		case i == 0:
+			pkt := amnet.Packet{Handler: hFIR, Dst: hops[i]}
+			pkt.Payload = p
+			ep.SendNow(pkt)
+		}
+	}
+}
+
+// True positive, handleFIR's shape: a handler owns the request it was
+// handed (its summary frees it), so answering through the branchy helper
+// and then freeing it as well is a double free.  Reading a scalar field
+// and answering early on one branch leave the request tracked.
+func serveChain(p *path, ep *amnet.Endpoint, hops []amnet.NodeID, self amnet.NodeID) {
+	vt := p.vt
+	if vt < 0 {
+		answerChain(p, ep, hops, self)
+		return
+	}
+	answerChain(p, ep, hops, self)
+	freePath(p) // want `pooled FIR path "p" freed twice`
+}
+
+// Negative: a handler that answers on one branch and relays on the other
+// consumes its request exactly once on each.
+func relayOrAnswer(p *path, ep *amnet.Endpoint, hops []amnet.NodeID, self amnet.NodeID, relay bool) {
+	if relay {
+		p.hops = append(p.hops, uint8(self))
+		ep.SendNow(amnet.Packet{Handler: hFIR, Dst: hops[0], Payload: p})
+		return
+	}
+	answerChain(p, ep, hops, self)
+}

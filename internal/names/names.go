@@ -18,6 +18,7 @@ package names
 
 import (
 	"fmt"
+	"math/bits"
 
 	"hal/internal/amnet"
 )
@@ -115,7 +116,9 @@ func (s LDState) String() string {
 //
 // The 72-byte size is part of the performance contract (one descriptor
 // per live actor, arena-allocated): the pin below makes halvet-wiresym
-// fail the build if a field lands the struct on a new size bucket.
+// fail the build if a field lands the struct on a new size bucket.  A
+// descriptor never moves once allocated (see Arena), so a *LD is a stable
+// name for it, as the paper's LD address is.
 //
 //halvet:wire LD size=72
 type LD struct {
@@ -124,7 +127,7 @@ type LD struct {
 	// once a node has asked "where did this actor go", further messages
 	// for the same descriptor just join Held.  (Placed beside State so
 	// the flag rides in the descriptor's existing padding: arenas hold
-	// one LD per actor and slab growth amortizes into creation cost.)
+	// one LD per actor, so every byte here is paid per creation.)
 	FIRSent bool
 	// Actor is the local actor when State == LDLocal.
 	Actor any
@@ -149,9 +152,18 @@ type LD struct {
 //
 // Seq layout: low 40 bits slot index, high 24 bits generation.  Slot 0 is
 // never handed out so that Seq == 0 means "no descriptor".
+//
+// Slots live in pages that are never moved or copied, so a *LD stays valid
+// for the arena's lifetime: the descriptor's address is as stable as the
+// paper's "memory address of a locality descriptor".  Page sizes double
+// from 64 slots up to pageSlots (1024) and stay there: a node that creates
+// few actors holds a few kilobytes, and the last page never leaves more
+// than one page of slack.
 type Arena struct {
-	slots []ldSlot
-	free  []uint64 // slot indexes available for reuse
+	small [smallPages][]ldSlot // 64, 128, 256, 512 slots
+	big   []*[pageSlots]ldSlot // every later page
+	next  uint64               // slots ever handed out, slot 0 included
+	free  []uint64             // slot indexes available for reuse
 	live  int
 }
 
@@ -163,6 +175,15 @@ type ldSlot struct {
 const (
 	seqSlotBits = 40
 	seqSlotMask = (uint64(1) << seqSlotBits) - 1
+
+	// Slot s lives at page position u = s + firstPageSlots.  The doubling
+	// pages cover u in [64, 1024), page k holding u in [64<<k, 128<<k);
+	// from u = 1024 on, page u>>pageBits-1 of big holds it.
+	firstPageBits  = 6
+	firstPageSlots = 1 << firstPageBits
+	pageBits       = 10
+	pageSlots      = 1 << pageBits
+	smallPages     = pageBits - firstPageBits
 )
 
 func seqSlot(seq uint64) uint64 { return seq & seqSlotMask }
@@ -171,11 +192,36 @@ func seqGen(seq uint64) uint32  { return uint32(seq >> seqSlotBits) }
 // MakeSeq assembles a Seq from slot and generation; exported for tests.
 func MakeSeq(slot uint64, gen uint32) uint64 { return slot | uint64(gen)<<seqSlotBits }
 
-// NewArena returns an empty arena.
+// NewArena returns an empty arena.  No page is allocated until the first
+// descriptor is.
 func NewArena() *Arena {
-	a := &Arena{}
-	a.slots = append(a.slots, ldSlot{}) // slot 0 reserved invalid
-	return a
+	return &Arena{next: 1} // slot 0 reserved invalid
+}
+
+// at returns slot's storage; slot must be below a.next.
+func (a *Arena) at(slot uint64) *ldSlot {
+	u := slot + firstPageSlots
+	if u < pageSlots {
+		k := bits.Len64(u) - firstPageBits - 1
+		return &a.small[k][u-firstPageSlots<<k]
+	}
+	return &a.big[u>>pageBits-1][u&(pageSlots-1)]
+}
+
+// grow hands out the next never-used slot, adding a page when the last
+// one is full.
+func (a *Arena) grow() uint64 {
+	slot := a.next
+	u := slot + firstPageSlots
+	if u < pageSlots {
+		if k := bits.Len64(u) - firstPageBits - 1; a.small[k] == nil {
+			a.small[k] = make([]ldSlot, firstPageSlots<<k)
+		}
+	} else if u&(pageSlots-1) == 0 {
+		a.big = append(a.big, new([pageSlots]ldSlot))
+	}
+	a.next++
+	return slot
 }
 
 // Alloc allocates a fresh descriptor, returning its Seq and a pointer to
@@ -186,13 +232,12 @@ func (a *Arena) Alloc() (uint64, *LD) {
 	if n := len(a.free); n > 0 {
 		slot := a.free[n-1]
 		a.free = a.free[:n-1]
-		s := &a.slots[slot]
+		s := a.at(slot)
 		s.ld = LD{}
 		return MakeSeq(slot, s.gen), &s.ld
 	}
-	a.slots = append(a.slots, ldSlot{})
-	slot := uint64(len(a.slots) - 1)
-	return MakeSeq(slot, 0), &a.slots[slot].ld
+	slot := a.grow()
+	return MakeSeq(slot, 0), &a.at(slot).ld
 }
 
 // AllocRange appends n fresh consecutive slots (all generation 0) and
@@ -201,9 +246,9 @@ func (a *Arena) Alloc() (uint64, *LD) {
 // together (grpnew) has alias addresses computable from the group handle
 // alone.
 func (a *Arena) AllocRange(n int) uint64 {
-	first := uint64(len(a.slots))
+	first := a.next
 	for i := 0; i < n; i++ {
-		a.slots = append(a.slots, ldSlot{})
+		a.grow()
 	}
 	a.live += n
 	return first
@@ -213,10 +258,10 @@ func (a *Arena) AllocRange(n int) uint64 {
 // freed, or refers to an older generation of a reused slot.
 func (a *Arena) Get(seq uint64) *LD {
 	slot := seqSlot(seq)
-	if slot == 0 || slot >= uint64(len(a.slots)) {
+	if slot == 0 || slot >= a.next {
 		return nil
 	}
-	s := &a.slots[slot]
+	s := a.at(slot)
 	if s.gen != seqGen(seq) {
 		return nil
 	}
@@ -228,10 +273,10 @@ func (a *Arena) Get(seq uint64) *LD {
 // invalid or stale seq is a no-op.
 func (a *Arena) Free(seq uint64) {
 	slot := seqSlot(seq)
-	if slot == 0 || slot >= uint64(len(a.slots)) {
+	if slot == 0 || slot >= a.next {
 		return
 	}
-	s := &a.slots[slot]
+	s := a.at(slot)
 	if s.gen != seqGen(seq) {
 		return
 	}
@@ -249,14 +294,14 @@ func (a *Arena) Live() int { return a.live }
 // ForEach visits every slot's current descriptor (including freed slots,
 // whose state is LDFree).  Intended for diagnostics.
 func (a *Arena) ForEach(f func(seq uint64, ld *LD)) {
-	for slot := 1; slot < len(a.slots); slot++ {
-		s := &a.slots[slot]
-		f(MakeSeq(uint64(slot), s.gen), &s.ld)
+	for slot := uint64(1); slot < a.next; slot++ {
+		s := a.at(slot)
+		f(MakeSeq(slot, s.gen), &s.ld)
 	}
 }
 
 // Cap returns the number of slots ever allocated (arena footprint).
-func (a *Arena) Cap() int { return len(a.slots) - 1 }
+func (a *Arena) Cap() int { return int(a.next) - 1 }
 
 // tableShards is the number of sub-maps a Table spreads its bindings
 // over; must be a power of two.

@@ -1,7 +1,12 @@
 // Package sched provides the dispatcher data structures of the HAL runtime
-// kernel: ring-buffer deques used for the ready queue (actors with
-// deliverable messages) and the spawn queue (deferred creations eligible
-// for load balancing).
+// kernel: the ready heap, which orders runnable work (an actor's next
+// message, a join continuation, a broadcast, a creation request) by
+// virtual arrival time, and ring-buffer deques for each actor's mail queue
+// and the spawn queue (deferred creations eligible for load balancing).
+//
+// Both are shaped for the garbage collector: the heap sifts pointer-free
+// items and keeps its values in a side array, and a deque's first buffer
+// holds two elements, the depth of a typical actor's mail queue.
 //
 // The paper's dispatcher "provides the data structures that are necessary
 // for scheduling actors" while the actors schedule themselves; likewise
@@ -32,7 +37,9 @@ func (d *Deque[T]) Len() int { return d.n }
 func (d *Deque[T]) Empty() bool { return d.n == 0 }
 
 func (d *Deque[T]) grow() {
-	newCap := 16
+	// Most mail queues hold one or two messages at a time, so the first
+	// buffer is two slots; busier queues double from there.
+	newCap := 2
 	if len(d.buf) > 0 {
 		newCap = len(d.buf) * 2
 	}

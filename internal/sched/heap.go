@@ -6,16 +6,23 @@ package sched
 // the earliest-stamped work first keeps a node's virtual clock from being
 // dragged forward by a late-stamped message while earlier work waits.
 //
+// The sifted items hold no pointers, only the key, the insertion seq and
+// the index of the value's slot in vals, so a sift moves plain words and
+// pays no GC write barrier however many pointers T carries.  Values stay
+// put in vals until popped; vacated slots are zeroed and reused.
+//
 // Like Deque, a Heap is single-owner and needs no locking.
 type Heap[T any] struct {
-	items []heapItem[T]
+	items []heapItem
+	vals  []T
+	free  []uint32 // vacated vals slots
 	seq   uint64
 }
 
-type heapItem[T any] struct {
-	val T
-	key float64
-	seq uint64 // insertion order breaks ties
+type heapItem struct {
+	key  float64
+	seq  uint64 // insertion order breaks ties
+	slot uint32 // index into vals
 }
 
 // Len returns the number of queued items.
@@ -34,7 +41,16 @@ func (h *Heap[T]) less(i, j int) bool {
 
 // Push inserts v with the given key.
 func (h *Heap[T]) Push(v T, key float64) {
-	h.items = append(h.items, heapItem[T]{val: v, key: key, seq: h.seq})
+	var slot uint32
+	if n := len(h.free); n > 0 {
+		slot = h.free[n-1]
+		h.free = h.free[:n-1]
+		h.vals[slot] = v
+	} else {
+		slot = uint32(len(h.vals))
+		h.vals = append(h.vals, v)
+	}
+	h.items = append(h.items, heapItem{key: key, seq: h.seq, slot: slot})
 	h.seq++
 	i := len(h.items) - 1
 	for i > 0 {
@@ -54,9 +70,11 @@ func (h *Heap[T]) Pop() (T, bool) {
 	if n == 0 {
 		return zero, false
 	}
-	top := h.items[0].val
+	slot := h.items[0].slot
+	top := h.vals[slot]
+	h.vals[slot] = zero // release references
+	h.free = append(h.free, slot)
 	h.items[0] = h.items[n-1]
-	h.items[n-1] = heapItem[T]{} // release references
 	h.items = h.items[:n-1]
 	n--
 	i := 0

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -117,12 +118,107 @@ func TestHeapInterleavedPushPop(t *testing.T) {
 	}
 }
 
-func BenchmarkHeapPushPop(b *testing.B) {
-	var h Heap[int]
-	for i := 0; i < b.N; i++ {
-		h.Push(i, float64(i&1023))
-		if h.Len() > 512 {
-			h.Pop()
+// Property: any interleaving of Push and Pop pops in (key, insertion
+// order), the order a reference list keeps by linear scan, and the value
+// slots are reused so the slot array never outgrows the deepest queue.
+func TestHeapMatchesReferenceOrder(t *testing.T) {
+	type ref struct {
+		key float64
+		seq int // also the pushed value
+	}
+	f := func(seed int64, opsRaw uint16) bool {
+		rng := rand.New(rand.NewSource(seed))
+		var h Heap[int]
+		var model []ref
+		seq, deepest := 0, 0
+		for op := 0; op < int(opsRaw%2000); op++ {
+			if rng.Intn(5) < 3 {
+				k := float64(rng.Intn(8)) // few keys: ties are common
+				h.Push(seq, k)
+				model = append(model, ref{k, seq})
+				seq++
+				deepest = max(deepest, len(model))
+				continue
+			}
+			v, ok := h.Pop()
+			if len(model) == 0 {
+				if ok {
+					return false
+				}
+				continue
+			}
+			best := 0
+			for i, r := range model {
+				if r.key < model[best].key || (r.key == model[best].key && r.seq < model[best].seq) {
+					best = i
+				}
+			}
+			if !ok || v != model[best].seq {
+				return false
+			}
+			model = append(model[:best], model[best+1:]...)
+			if h.Len() != len(model) || len(h.vals) > deepest {
+				return false
+			}
 		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Pop must not leave the popped value reachable from the heap.
+func TestHeapPopReleasesValue(t *testing.T) {
+	var h Heap[*int]
+	vals := make([]*int, 6)
+	for i := range vals {
+		vals[i] = new(int)
+		h.Push(vals[i], float64(i%3))
+	}
+	for range 4 {
+		v, _ := h.Pop()
+		for _, slot := range h.free {
+			if h.vals[slot] != nil {
+				t.Fatalf("vacated slot %d still holds a value", slot)
+			}
+		}
+		for _, held := range h.vals {
+			if held == v {
+				t.Fatal("heap still references a popped value")
+			}
+		}
+	}
+	if len(h.free) != 4 || h.Len() != 2 {
+		t.Fatalf("free=%d len=%d, want 4 and 2", len(h.free), h.Len())
+	}
+}
+
+// benchTask has the dispatcher task's shape: four pointer words and a
+// float, so the benchmark sees what sifting the real ready heap costs.
+type benchTask struct {
+	a, b, c, d *int
+	vt         float64
+}
+
+// BenchmarkHeapPushPop pushes and pops one task per op at a steady depth:
+// 16 is a quiet node's ready heap, 32k a fib node's under load.
+func BenchmarkHeapPushPop(b *testing.B) {
+	for _, depth := range []int{16, 32 << 10} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			var h Heap[benchTask]
+			x := new(int)
+			task := benchTask{a: x, b: x, c: x, d: x}
+			rng := rand.New(rand.NewSource(1))
+			for i := 0; i < depth; i++ {
+				h.Push(task, rng.Float64())
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				h.Push(task, rng.Float64())
+				h.Pop()
+			}
+		})
 	}
 }
